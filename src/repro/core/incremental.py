@@ -37,12 +37,11 @@ from repro.core.graph import ProviderNode, ServiceType, website_graph_edges
 from repro.core.pipeline import (
     AnalyzedSnapshot,
     _endpoint_ca_names,
-    _nameserver_concentrations,
+    _nameserver_bases,
     classify_interservice,
     classify_website,
 )
-from repro.measurement.records import Dataset
-from repro.names.registrable import registrable_domain
+from repro.measurement.records import Dataset, WebsiteMeasurement
 
 
 def _edge_pairs(
@@ -60,11 +59,24 @@ def _edge_pairs(
     return pairs
 
 
-def _site_nameserver_bases(measurement) -> set[str]:
-    return {
-        registrable_domain(nameserver) or nameserver
-        for nameserver in measurement.dns.nameservers
-    }
+def _refreshed_concentrations(
+    counts: dict[str, int],
+    prev_records: dict[str, WebsiteMeasurement],
+    records: dict[str, WebsiteMeasurement],
+) -> dict[str, int]:
+    """The nameserver concentration counts of ``records``, from those of
+    ``prev_records``: only records that are not the previous epoch's
+    objects (changed, gone or new) are re-based."""
+    counts = dict(counts)
+    for domain, record in prev_records.items():
+        if records.get(domain) is not record:
+            for base in _nameserver_bases(record):
+                counts[base] -= 1
+    for domain, record in records.items():
+        if prev_records.get(domain) is not record:
+            for base in _nameserver_bases(record):
+                counts[base] = counts.get(base, 0) + 1
+    return {base: count for base, count in counts.items() if count}
 
 
 def refresh_snapshot(
@@ -83,8 +95,11 @@ def refresh_snapshot(
     ``prev`` — refreshing across different scales is not meaningful.
     """
     threshold = prev.concentration_threshold
-    old_concentrations = _nameserver_concentrations(prev.dataset)
-    new_concentrations = _nameserver_concentrations(dataset)
+    prev_records = prev.dataset.by_domain()
+    old_concentrations = prev.nameserver_concentrations
+    new_concentrations = _refreshed_concentrations(
+        old_concentrations, prev_records, dataset.by_domain()
+    )
     concentration_of = lambda base: new_concentrations.get(base, 0)  # noqa: E731
     flipped_bases = {
         base
@@ -100,7 +115,6 @@ def refresh_snapshot(
         if old_ca_names.get(host) != new_ca_names.get(host)
     }
 
-    prev_records = prev.dataset.by_domain()
     prev_classified = prev.by_domain()
     if changed is None:
         changed_set = {
@@ -121,7 +135,10 @@ def refresh_snapshot(
         stale = (
             previous is None
             or domain in changed_set
-            or (flipped_bases & _site_nameserver_bases(measurement))
+            or (
+                flipped_bases
+                and not flipped_bases.isdisjoint(_nameserver_bases(measurement))
+            )
             or (previous.ca.ca_host and previous.ca.ca_host in renamed_hosts)
         )
         if stale:
@@ -189,6 +206,7 @@ def refresh_snapshot(
         websites=websites,
         graph=graph,
         interservice=interservice,
+        nameserver_concentrations=new_concentrations,
         interservice_edges=edges,
         dns_display_names=display_names,
         rank_scale=prev.rank_scale,

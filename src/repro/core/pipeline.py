@@ -33,6 +33,7 @@ from repro.measurement.records import (
     ProviderDnsObservation,
     RevocationEndpointObservation,
     SoaIdentity,
+    WebsiteMeasurement,
 )
 from repro.names.registrable import registrable_domain, tld
 from repro.worldgen.world import World
@@ -69,6 +70,10 @@ class AnalyzedSnapshot:
     websites: list[ClassifiedWebsite]
     graph: DependencyGraph
     interservice: InterServiceClassifications
+    # Websites served per nameserver registrable domain (the §3.1
+    # concentration counts), kept so a refresh updates them from the
+    # changed records instead of recounting the whole dataset.
+    nameserver_concentrations: dict[str, int]
     # (consumer, provider, critical) triples, kept so figures can rebuild
     # graphs restricted to one dependency type (Figures 7-9).
     interservice_edges: list[tuple[ProviderNode, ProviderNode, bool]] = field(
@@ -119,16 +124,23 @@ class AnalyzedSnapshot:
         return [w for w in self.websites if w.uses_cdn]
 
 
+def _nameserver_bases(website: WebsiteMeasurement) -> list[str]:
+    """The distinct nameserver registrable domains of one website, in the
+    order its nameservers first reference them."""
+    bases: list[str] = []
+    for nameserver in website.dns.nameservers:
+        base = registrable_domain(nameserver) or nameserver
+        if base not in bases:
+            bases.append(base)
+    return bases
+
+
 def _nameserver_concentrations(dataset: Dataset) -> dict[str, int]:
     """First pass: websites served per nameserver registrable domain."""
     counts: dict[str, int] = {}
     for website in dataset.websites:
-        seen: set[str] = set()
-        for nameserver in website.dns.nameservers:
-            base = registrable_domain(nameserver) or nameserver
-            if base not in seen:
-                seen.add(base)
-                counts[base] = counts.get(base, 0) + 1
+        for base in _nameserver_bases(website):
+            counts[base] = counts.get(base, 0) + 1
     return counts
 
 
@@ -337,6 +349,7 @@ def analyze_dataset(
         websites=websites,
         graph=graph,
         interservice=interservice,
+        nameserver_concentrations=concentrations,
         interservice_edges=edges,
         dns_display_names=dict(dns_display_names or {}),
         rank_scale=rank_scale,

@@ -65,17 +65,20 @@ class DnsCache:
         # Observability hook; None keeps the hot path to one attr check.
         self.telemetry: Optional["Telemetry"] = None
 
-    def _key(self, name: str, rrtype: RRType) -> tuple[str, RRType]:
-        return (normalize(name), RRType.parse(rrtype))
+    # The public methods normalize their key; the resolver, whose names
+    # are canonical already, calls the underscored twins that take a
+    # canonical (name, RRType) key as it is.
 
     def put(self, name: str, rrtype: RRType, records: list[ResourceRecord]) -> None:
         """Cache a positive answer until the smallest record TTL expires."""
+        self._put((normalize(name), RRType.parse(rrtype)), records)
+
+    def _put(self, key: tuple[str, RRType], records: list[ResourceRecord]) -> None:
         if not records:
             return
         ttl = min(rr.ttl for rr in records)
         if ttl <= 0:
             return
-        key = self._key(name, rrtype)
         # Overwriting an existing key does not grow the cache, so a full
         # cache must not shed an unrelated entry for it.
         if key not in self._entries:
@@ -88,9 +91,15 @@ class DnsCache:
         self, name: str, rrtype: RRType, soa_minimum: int, nxdomain: bool
     ) -> None:
         """Cache an NXDOMAIN or NODATA outcome for the SOA minimum TTL."""
+        self._put_negative(
+            (normalize(name), RRType.parse(rrtype)), soa_minimum, nxdomain
+        )
+
+    def _put_negative(
+        self, key: tuple[str, RRType], soa_minimum: int, nxdomain: bool
+    ) -> None:
         if soa_minimum <= 0:
             return
-        key = self._key(name, rrtype)
         if key not in self._entries:
             self._evict_if_full()
         self._entries[key] = _Entry(
@@ -106,7 +115,9 @@ class DnsCache:
         Raises :class:`NegativeCacheHit` when a fresh negative entry covers
         the key, so callers can distinguish "unknown" from "known absent".
         """
-        key = self._key(name, rrtype)
+        return self._get((normalize(name), RRType.parse(rrtype)))
+
+    def _get(self, key: tuple[str, RRType]) -> Optional[list[ResourceRecord]]:
         entry = self._entries.get(key)
         tel = self.telemetry
         if entry is None or entry.expires_at <= self._clock.now():
@@ -136,7 +147,9 @@ class DnsCache:
 
     def peek(self, name: str, rrtype: RRType) -> Optional[list[ResourceRecord]]:
         """Like :meth:`get` but without counters or negative signalling."""
-        key = self._key(name, rrtype)
+        return self._peek((normalize(name), RRType.parse(rrtype)))
+
+    def _peek(self, key: tuple[str, RRType]) -> Optional[list[ResourceRecord]]:
         entry = self._entries.get(key)
         if entry is None or entry.negative or entry.expires_at <= self._clock.now():
             return None

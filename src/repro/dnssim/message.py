@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.dnssim.errors import MessageFormatError
 from repro.dnssim.records import (
@@ -19,10 +19,14 @@ from repro.dnssim.records import (
     ResourceRecord,
     decode_rdata,
     encode_rdata,
+    from_canonical,
 )
 from repro.names.normalize import MAX_LABEL_LENGTH, normalize
 
 _HEADER = struct.Struct("!HHHHHH")
+_U16 = struct.Struct("!H")
+_QUESTION_FIXED = struct.Struct("!HH")  # type, class
+_RR_FIXED = struct.Struct("!HHIH")  # type, class, ttl, rdlength
 _POINTER_MASK = 0xC0
 _MAX_POINTER_CHASES = 64
 
@@ -40,6 +44,26 @@ class RCode(enum.IntEnum):
 
 class Opcode(enum.IntEnum):
     QUERY = 0
+
+
+def _by_value(enum_cls: type[enum.IntEnum]) -> dict[int, Any]:
+    return {member.value: member for member in enum_cls}
+
+
+# Wire value -> enum member. A dict lookup, where ``RRType(value)`` would go
+# through ``EnumMeta.__call__`` on every decoded field.
+_OPCODES = _by_value(Opcode)
+_RCODES = _by_value(RCode)
+_RRTYPES = _by_value(RRType)
+_RRCLASSES = _by_value(RRClass)
+
+
+def _member(table: dict[int, Any], value: int, what: str) -> Any:
+    """The enum member for a wire value; unknown values are damage."""
+    member = table.get(value)
+    if member is None:
+        raise MessageFormatError(f"unknown {what} {value}")
+    return member
 
 
 @dataclass(frozen=True)
@@ -126,7 +150,11 @@ class DnsMessage:
         return word
 
     def to_wire(self) -> bytes:
-        """Encode to wire format with name compression."""
+        """Encode to wire format with name compression.
+
+        Every name in a message is canonical (the record and question
+        constructors normalize), so names are encoded as they are.
+        """
         out = bytearray(
             _HEADER.pack(
                 self.id,
@@ -139,109 +167,109 @@ class DnsMessage:
         )
         offsets: dict[str, int] = {}
 
-        def encode_name_at(name: str, base: int) -> bytes:
-            """Encode ``name`` assuming its first byte lands at ``base``."""
-            encoded = bytearray()
-            remaining = normalize(name)
+        def write_name(name: str) -> None:
+            """Append ``name``, ending in a pointer to the longest suffix
+            already written (RFC 1035 §4.1.4)."""
+            nonlocal out
+            here = len(out)
+            remaining = name
             while remaining:
-                if remaining in offsets:
-                    pointer = offsets[remaining]
-                    encoded += struct.pack("!H", 0xC000 | pointer)
-                    return bytes(encoded)
-                if base + len(encoded) < 0x3FFF:
-                    offsets[remaining] = base + len(encoded)
+                pointer = offsets.get(remaining)
+                if pointer is not None:
+                    out += _U16.pack(0xC000 | pointer)
+                    return
+                if here < 0x3FFF:
+                    offsets[remaining] = here
                 label, _, remaining = remaining.partition(".")
                 raw = label.encode("ascii")
                 if len(raw) > MAX_LABEL_LENGTH:
                     raise MessageFormatError(f"label too long: {label!r}")
-                encoded.append(len(raw))
-                encoded += raw
-            encoded.append(0)
-            return bytes(encoded)
+                out.append(len(raw))
+                out += raw
+                here += 1 + len(raw)
+            out.append(0)
 
         for q in self.questions:
-            out += encode_name_at(q.qname, len(out))
-            out += struct.pack("!HH", int(q.qtype), int(q.qclass))
+            write_name(q.qname)
+            out += _QUESTION_FIXED.pack(q.qtype, q.qclass)
         for section in (self.answers, self.authorities, self.additionals):
             for rr in section:
-                out += encode_name_at(rr.name, len(out))
-                out += struct.pack("!HHI", int(rr.rrtype), int(rr.rrclass), rr.ttl)
-                # Reserve RDLENGTH, then encode rdata and backfill. Names in
-                # rdata may follow each other (SOA has two), so the encoder
-                # tracks how many rdata bytes it has already produced.
-                out += b"\x00\x00"
-                before = len(out)
-                produced = 0
-
-                def rdata_name_encoder(name: str, pad: int = 0) -> bytes:
-                    # ``pad`` = fixed rdata bytes emitted before this name
-                    # (e.g. the MX preference word), so offsets stay aligned.
-                    nonlocal produced
-                    produced += pad
-                    encoded = encode_name_at(name, before + produced)
-                    produced += len(encoded)
-                    return encoded
-
-                rdata_bytes = encode_rdata(rr.rdata, rdata_name_encoder)
-                out += rdata_bytes
-                struct.pack_into("!H", out, before - 2, len(rdata_bytes))
+                write_name(rr.name)
+                fixed_at = len(out)
+                out += _RR_FIXED.pack(rr.rdata.rrtype, rr.rrclass, rr.ttl, 0)
+                encode_rdata(rr.rdata, out, write_name)
+                # Backfill RDLENGTH now that the rdata's size is known.
+                _U16.pack_into(
+                    out, fixed_at + 8, len(out) - fixed_at - _RR_FIXED.size
+                )
         return bytes(out)
 
     @classmethod
     def from_wire(cls, data: bytes) -> "DnsMessage":
-        """Decode a wire-format message; raises MessageFormatError on damage."""
-        if len(data) < _HEADER.size:
+        """Decode a wire-format message; raises MessageFormatError on damage.
+
+        Every decoded name is lowercased once here and is canonical from
+        then on: the question and records are built without normalizing
+        it again.
+        """
+        size = len(data)
+        if size < _HEADER.size:
             raise MessageFormatError("message shorter than header")
         msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data, 0)
         msg = cls(
             id=msg_id,
             qr=bool(flags & 0x8000),
-            opcode=Opcode((flags >> 11) & 0xF),
+            opcode=_member(_OPCODES, (flags >> 11) & 0xF, "opcode"),
             aa=bool(flags & 0x0400),
             tc=bool(flags & 0x0200),
             rd=bool(flags & 0x0100),
             ra=bool(flags & 0x0080),
-            rcode=RCode(flags & 0xF),
+            rcode=_member(_RCODES, flags & 0xF, "rcode"),
         )
 
         def decode_name(offset: int) -> tuple[str, int]:
-            labels: list[str] = []
+            labels: list[bytes] = []
             jumps = 0
             pos = offset
             end_pos: Optional[int] = None
             while True:
-                if pos >= len(data):
+                if pos >= size:
                     raise MessageFormatError("name runs past end of message")
                 length = data[pos]
                 if length & _POINTER_MASK == _POINTER_MASK:
-                    if pos + 1 >= len(data):
+                    if pos + 1 >= size:
                         raise MessageFormatError("truncated compression pointer")
-                    pointer = struct.unpack_from("!H", data, pos)[0] & 0x3FFF
                     if end_pos is None:
                         end_pos = pos + 2
                     jumps += 1
                     if jumps > _MAX_POINTER_CHASES:
                         raise MessageFormatError("compression pointer loop")
-                    pos = pointer
+                    pos = (length & 0x3F) << 8 | data[pos + 1]
                     continue
                 if length & _POINTER_MASK:
                     raise MessageFormatError("reserved label type")
                 if length == 0:
                     pos += 1
                     break
-                if pos + 1 + length > len(data):
+                if pos + 1 + length > size:
                     raise MessageFormatError("label runs past end of message")
-                labels.append(data[pos + 1:pos + 1 + length].decode("ascii"))
+                labels.append(data[pos + 1:pos + 1 + length])
                 pos += 1 + length
-            return ".".join(labels), (end_pos if end_pos is not None else pos)
+            name = b".".join(labels).decode("ascii").lower()
+            return name, (end_pos if end_pos is not None else pos)
 
         pos = _HEADER.size
         try:
             for _ in range(qdcount):
                 qname, pos = decode_name(pos)
-                qtype, qclass = struct.unpack_from("!HH", data, pos)
+                qtype, qclass = _QUESTION_FIXED.unpack_from(data, pos)
                 pos += 4
-                msg.questions.append(Question(qname, RRType(qtype), RRClass(qclass)))
+                msg.questions.append(from_canonical(
+                    Question,
+                    qname,
+                    _member(_RRTYPES, qtype, "RR type"),
+                    _member(_RRCLASSES, qclass, "RR class"),
+                ))
             for section, count in (
                 (msg.answers, ancount),
                 (msg.authorities, nscount),
@@ -249,15 +277,22 @@ class DnsMessage:
             ):
                 for _ in range(count):
                     name, pos = decode_name(pos)
-                    rrtype, rrclass, ttl, rdlength = struct.unpack_from("!HHIH", data, pos)
+                    rrtype, rrclass, ttl, rdlength = _RR_FIXED.unpack_from(data, pos)
                     pos += 10
-                    if pos + rdlength > len(data):
+                    if pos + rdlength > size:
                         raise MessageFormatError("rdata runs past end of message")
-                    rdata = decode_rdata(RRType(rrtype), data, pos, rdlength, decode_name)
-                    pos += rdlength
-                    section.append(
-                        ResourceRecord(name, ttl, rdata, RRClass(rrclass))
+                    rdata = decode_rdata(
+                        _member(_RRTYPES, rrtype, "RR type"),
+                        data, pos, rdlength, decode_name,
                     )
+                    pos += rdlength
+                    section.append(from_canonical(
+                        ResourceRecord,
+                        name,
+                        ttl,
+                        rdata,
+                        _member(_RRCLASSES, rrclass, "RR class"),
+                    ))
         except (struct.error, ValueError) as exc:
             raise MessageFormatError(str(exc)) from exc
         return msg

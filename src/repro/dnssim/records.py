@@ -10,9 +10,14 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import TypeVar, Union
 
 from repro.names.normalize import normalize
+
+_R = TypeVar("_R")
+
+_U16 = struct.Struct("!H")
+_SOA_TIMERS = struct.Struct("!IIIII")
 
 
 class RRType(enum.IntEnum):
@@ -223,37 +228,54 @@ def rdata_class_for(rrtype: RRType) -> type:
         raise ValueError(f"unsupported RR type: {rrtype}") from None
 
 
-def encode_rdata(rdata: RData, encode_name) -> bytes:
-    """Encode rdata to wire bytes.
+def from_canonical(cls: type[_R], *values: object) -> _R:
+    """Build the frozen record ``cls`` from field values already in
+    canonical form, in field order, without running ``__post_init__``.
 
-    ``encode_name`` is a callback supplied by the message encoder so domain
-    names inside rdata participate in message-level name compression.
+    For the wire decoder only: a decoded name is lowercased once where it
+    is read, so normalizing it again in every constructor would redo the
+    same work; other values come from fixed-width wire fields that are
+    valid by construction.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls.__dataclass_fields__, values))  # type: ignore[attr-defined]
+    return record
+
+
+def encode_rdata(rdata: RData, out: bytearray, write_name) -> None:
+    """Append the wire encoding of ``rdata`` to ``out``.
+
+    ``write_name(name)`` is supplied by the message encoder: it appends a
+    name at the end of ``out``, so domain names inside rdata participate in
+    message-level name compression.
     """
     if isinstance(rdata, ARecord):
-        return _encode_ipv4(rdata.address)
-    if isinstance(rdata, AAAARecord):
-        return rdata.address.encode("ascii").ljust(16, b"\x00")[:16]
-    if isinstance(rdata, NSRecord):
-        return encode_name(rdata.nsdname)
-    if isinstance(rdata, CNAMERecord):
-        return encode_name(rdata.target)
-    if isinstance(rdata, SOARecord):
-        fixed = struct.pack(
-            "!IIIII",
+        out += _encode_ipv4(rdata.address)
+    elif isinstance(rdata, AAAARecord):
+        out += rdata.address.encode("ascii").ljust(16, b"\x00")[:16]
+    elif isinstance(rdata, NSRecord):
+        write_name(rdata.nsdname)
+    elif isinstance(rdata, CNAMERecord):
+        write_name(rdata.target)
+    elif isinstance(rdata, SOARecord):
+        write_name(rdata.mname)
+        write_name(rdata.rname)
+        out += _SOA_TIMERS.pack(
             rdata.serial,
             rdata.refresh,
             rdata.retry,
             rdata.expire,
             rdata.minimum,
         )
-        return encode_name(rdata.mname) + encode_name(rdata.rname) + fixed
-    if isinstance(rdata, MXRecord):
-        return struct.pack("!H", rdata.preference) + encode_name(rdata.exchange, 2)
-    if isinstance(rdata, TXTRecord):
+    elif isinstance(rdata, MXRecord):
+        out += _U16.pack(rdata.preference)
+        write_name(rdata.exchange)
+    elif isinstance(rdata, TXTRecord):
         raw = rdata.text.encode("utf-8")
         chunks = [raw[i:i + 255] for i in range(0, len(raw), 255)] or [b""]
-        return b"".join(bytes([len(c)]) + c for c in chunks)
-    raise ValueError(f"cannot encode rdata of type {type(rdata).__name__}")
+        out += b"".join(bytes([len(c)]) + c for c in chunks)
+    else:
+        raise ValueError(f"cannot encode rdata of type {type(rdata).__name__}")
 
 
 def decode_rdata(rrtype: RRType, data: bytes, offset: int, length: int, decode_name) -> RData:
@@ -261,28 +283,29 @@ def decode_rdata(rrtype: RRType, data: bytes, offset: int, length: int, decode_n
 
     ``decode_name`` is ``(offset) -> (name, next_offset)`` provided by the
     message decoder, so compression pointers resolve against the full
-    message buffer.
+    message buffer; the names it returns are canonical.
     """
     end = offset + length
     if rrtype == RRType.A:
-        return ARecord(_decode_ipv4(data[offset:end]))
+        return from_canonical(ARecord, _decode_ipv4(data[offset:end]))
     if rrtype == RRType.AAAA:
         return AAAARecord(data[offset:end].rstrip(b"\x00").decode("ascii"))
     if rrtype == RRType.NS:
         name, _ = decode_name(offset)
-        return NSRecord(name)
+        return from_canonical(NSRecord, name)
     if rrtype == RRType.CNAME:
         name, _ = decode_name(offset)
-        return CNAMERecord(name)
+        return from_canonical(CNAMERecord, name)
     if rrtype == RRType.SOA:
         mname, pos = decode_name(offset)
         rname, pos = decode_name(pos)
-        serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", data, pos)
-        return SOARecord(mname, rname, serial, refresh, retry, expire, minimum)
+        return from_canonical(
+            SOARecord, mname, rname, *_SOA_TIMERS.unpack_from(data, pos)
+        )
     if rrtype == RRType.MX:
-        (preference,) = struct.unpack_from("!H", data, offset)
+        (preference,) = _U16.unpack_from(data, offset)
         exchange, _ = decode_name(offset + 2)
-        return MXRecord(preference, exchange)
+        return from_canonical(MXRecord, preference, exchange)
     if rrtype == RRType.TXT:
         parts = []
         pos = offset

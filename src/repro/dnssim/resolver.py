@@ -21,7 +21,7 @@ from repro.dnssim.errors import (
 from repro.dnssim.message import DnsMessage, RCode
 from repro.dnssim.network import DnsNetwork
 from repro.dnssim.records import RRType, ResourceRecord, SOARecord
-from repro.names.normalize import normalize, split_labels
+from repro.names.normalize import normalize
 from repro.telemetry.spans import NULL_SPAN
 
 if TYPE_CHECKING:
@@ -213,14 +213,14 @@ class IterativeResolver:
         """
         # Cache first.
         try:
-            cached = self.cache.get(qname, qtype)
+            cached = self.cache._get((qname, qtype))
         except NegativeCacheHit as neg:
             result.rcode = RCode.NXDOMAIN if neg.nxdomain else RCode.NOERROR
             return None
         if cached:
             result.records.extend(cached)
             return None
-        cached_cname = self.cache.peek(qname, RRType.CNAME)
+        cached_cname = self.cache._peek((qname, RRType.CNAME))
         if cached_cname and qtype != RRType.CNAME:
             return cached_cname[0].rdata.target  # type: ignore[union-attr]
 
@@ -239,8 +239,8 @@ class IterativeResolver:
                 soa = self._first_soa(response)
                 if soa is not None:
                     result.authority_soa = soa
-                    self.cache.put_negative(
-                        qname, qtype, soa.rdata.minimum, nxdomain=True  # type: ignore[union-attr]
+                    self.cache._put_negative(
+                        (qname, qtype), soa.rdata.minimum, nxdomain=True  # type: ignore[union-attr]
                     )
                 result.rcode = RCode.NXDOMAIN
                 return None
@@ -254,7 +254,7 @@ class IterativeResolver:
             answers = [r for r in response.answers if r.name == qname]
             typed = [r for r in answers if r.rrtype == qtype]
             if typed:
-                self.cache.put(qname, qtype, typed)
+                self.cache._put((qname, qtype), typed)
                 result.records.extend(typed)
                 return None
             cnames = [r for r in answers if r.rrtype == RRType.CNAME]
@@ -273,10 +273,10 @@ class IterativeResolver:
                 if tel is not None:
                     tel.diag("dns.referrals")
                     tel.event("dns.referral", "dns", zone=zone_cut or ".")
-                self.cache.put(zone_cut, RRType.NS, ns_records)
+                self.cache._put((zone_cut, RRType.NS), ns_records)
                 for glue in response.additionals:
                     if glue.rrtype in (RRType.A, RRType.AAAA):
-                        self.cache.put(glue.name, glue.rrtype, [glue])
+                        self.cache._put((glue.name, glue.rrtype), [glue])
                 server_ips = self._addresses_for_ns(ns_records, response, depth)
                 if not server_ips:
                     self.stats.failures += 1
@@ -289,8 +289,8 @@ class IterativeResolver:
             soa = self._first_soa(response)
             if soa is not None:
                 result.authority_soa = soa
-                self.cache.put_negative(
-                    qname, qtype, soa.rdata.minimum, nxdomain=False  # type: ignore[union-attr]
+                self.cache._put_negative(
+                    (qname, qtype), soa.rdata.minimum, nxdomain=False  # type: ignore[union-attr]
                 )
             result.rcode = RCode.NOERROR
             return None
@@ -303,8 +303,8 @@ class IterativeResolver:
         groups: dict[tuple[str, RRType], list[ResourceRecord]] = {}
         for rr in response.answers:
             groups.setdefault((rr.name, rr.rrtype), []).append(rr)
-        for (name, rrtype), records in groups.items():
-            self.cache.put(name, rrtype, records)
+        for key, records in groups.items():
+            self.cache._put(key, records)
 
     def _first_soa(self, response: DnsMessage) -> Optional[ResourceRecord]:
         for rr in response.authorities:
@@ -396,22 +396,21 @@ class IterativeResolver:
 
     def _closest_known_servers(self, qname: str, depth: int) -> list[str]:
         """Start from the deepest cached delegation covering ``qname``."""
-        labels = split_labels(qname)
-        for i in range(len(labels)):
-            zone = ".".join(labels[i:])
-            ns_records = self.cache.peek(zone, RRType.NS)
-            if not ns_records:
-                continue
-            ips = self._cached_ns_addresses(ns_records)
-            if ips:
-                return ips
+        zone = qname
+        while zone:
+            ns_records = self.cache._peek((zone, RRType.NS))
+            if ns_records:
+                ips = self._cached_ns_addresses(ns_records)
+                if ips:
+                    return ips
+            zone = zone.partition(".")[2]
         return list(self._root_hints.values())
 
     def _cached_ns_addresses(self, ns_records: list[ResourceRecord]) -> list[str]:
         ips: list[str] = []
         for rr in ns_records:
             nsname = rr.rdata.nsdname  # type: ignore[union-attr]
-            for cached in self.cache.peek(nsname, RRType.A) or []:
+            for cached in self.cache._peek((nsname, RRType.A)) or []:
                 ips.append(cached.rdata.address)  # type: ignore[union-attr]
         return ips
 
@@ -440,7 +439,7 @@ class IterativeResolver:
             return ips
         for nsname in unglued:
             # Served by the cache after the first referral for this zone.
-            cached = self.cache.peek(nsname, RRType.A)
+            cached = self.cache._peek((nsname, RRType.A))
             if cached is not None:
                 ips.extend(rr.rdata.address for rr in cached)  # type: ignore[union-attr]
                 continue

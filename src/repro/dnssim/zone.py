@@ -20,8 +20,7 @@ from repro.dnssim.records import (
     ResourceRecord,
     SOARecord,
 )
-from repro.names.normalize import normalize, split_labels
-from repro.names.registrable import is_subdomain_of
+from repro.names.normalize import normalize
 
 DEFAULT_TTL = 300
 
@@ -61,11 +60,19 @@ class Zone:
 
     def __init__(self, origin: str, soa: SOARecord, soa_ttl: int = 3600):
         self.origin = normalize(origin)
+        # A canonical name lies in the zone when it is the origin or ends
+        # in this suffix: a label-boundary test with no splitting.
+        self._suffix = "." + self.origin
+        self._origin_depth = self.origin.count(".") + 1 if self.origin else 0
         self._records: dict[tuple[str, RRType], list[ResourceRecord]] = {}
         # GeoDNS views: (region, name, type) -> records that override the
         # default answer for clients resolving from that region.
         self._regional: dict[tuple[str, str, RRType], list[ResourceRecord]] = {}
-        self._names: set[str] = {self.origin}
+        self._names: set[str] = set()
+        # How many owner names lie strictly below each name in the zone, so
+        # an empty non-terminal is one probe instead of a scan of the zone.
+        self._below: dict[str, int] = {}
+        self._add_name(self.origin)
         self.add(self.origin, soa, ttl=soa_ttl)
 
     # -- construction ------------------------------------------------------
@@ -94,15 +101,17 @@ class Zone:
             raise ZoneError(f"{name!r} is outside zone {self.origin!r}")
         rr = ResourceRecord(name, ttl, rdata)
         key = (name, rr.rrtype)
-        existing_types = {t for (n, t) in self._records if n == name}
-        if rr.rrtype == RRType.CNAME and existing_types - {RRType.CNAME}:
-            raise ZoneError(f"cannot add CNAME at {name!r}: other data exists")
-        if rr.rrtype != RRType.CNAME and RRType.CNAME in existing_types:
+        if rr.rrtype == RRType.CNAME:
+            if any(
+                (name, t) in self._records for t in RRType if t != RRType.CNAME
+            ):
+                raise ZoneError(f"cannot add CNAME at {name!r}: other data exists")
+        elif (name, RRType.CNAME) in self._records:
             raise ZoneError(f"cannot add {rr.rrtype.name} at {name!r}: CNAME exists")
         self._records.setdefault(key, [])
         if rr not in self._records[key]:
             self._records[key].append(rr)
-        self._names.add(name)
+        self._add_name(name)
         return rr
 
     def add_many(self, name: str, rdatas: Iterable[RData], ttl: int = DEFAULT_TTL) -> None:
@@ -127,7 +136,7 @@ class Zone:
         self._regional.setdefault(key, [])
         if rr not in self._regional[key]:
             self._regional[key].append(rr)
-        self._names.add(name)
+        self._add_name(name)
         return rr
 
     def regional_records_at(
@@ -140,30 +149,55 @@ class Zone:
         """Remove records at ``name`` (optionally one type); returns count."""
         name = normalize(name)
         keys = [
-            k for k in self._records
-            if k[0] == name and (rrtype is None or k[1] == rrtype)
+            (name, t) for t in RRType
+            if (name, t) in self._records and (rrtype is None or t == rrtype)
         ]
         removed = sum(len(self._records[k]) for k in keys)
         for k in keys:
             del self._records[k]
-        if not any(n == name for (n, _) in self._records):
+        if name in self._names and not any(
+            (name, t) in self._records for t in RRType
+        ):
             self._names.discard(name)
+            self._count_below(name, -1)
         return removed
+
+    def _add_name(self, name: str) -> None:
+        if name not in self._names:
+            self._names.add(name)
+            self._count_below(name, 1)
+
+    def _count_below(self, name: str, step: int) -> None:
+        """Add ``step`` to the below-count of each ancestor of ``name``
+        down to the origin."""
+        below = self._below
+        while name != self.origin:
+            name = name.partition(".")[2]
+            count = below.get(name, 0) + step
+            if count:
+                below[name] = count
+            else:
+                del below[name]
 
     # -- lookup ------------------------------------------------------------
 
     def _in_zone(self, name: str) -> bool:
-        return is_subdomain_of(name, self.origin) if self.origin else True
+        """Whether canonical ``name`` lies in the zone."""
+        return (
+            not self.origin
+            or name == self.origin
+            or name.endswith(self._suffix)
+        )
 
     def records_at(self, name: str, rrtype: RRType) -> list[ResourceRecord]:
-        """Exact-match records (no wildcard expansion)."""
-        return list(self._records.get((normalize(name), rrtype), []))
+        """Exact-match records (no wildcard expansion) at canonical ``name``."""
+        return list(self._records.get((name, rrtype), []))
 
     def _wildcard_match(self, name: str, rrtype: RRType) -> list[ResourceRecord]:
         """RFC 1034 wildcard: ``*.parent`` synthesizes records for ``name``."""
         if name in self._names:
             return []  # an existing name suppresses wildcard synthesis
-        labels = split_labels(name)
+        labels = name.split(".")
         for i in range(1, len(labels)):
             candidate = "*." + ".".join(labels[i:])
             source = self._records.get((candidate, rrtype))
@@ -178,11 +212,10 @@ class Zone:
 
     def _delegation_point(self, qname: str) -> Optional[str]:
         """The nearest zone cut at or above ``qname`` (strictly below origin)."""
-        labels = split_labels(qname)
-        origin_depth = len(split_labels(self.origin))
+        labels = qname.split(".")
         # Walk from just below the origin towards the qname, so the topmost
         # cut wins (a cut makes everything beneath it non-authoritative).
-        for i in range(len(labels) - origin_depth - 1, -1, -1):
+        for i in range(len(labels) - self._origin_depth - 1, -1, -1):
             candidate = ".".join(labels[i:])
             if candidate != self.origin and (candidate, RRType.NS) in self._records:
                 return candidate
@@ -190,9 +223,17 @@ class Zone:
 
     def _name_exists(self, qname: str) -> bool:
         """Whether the name exists (has records or is an empty non-terminal)."""
-        if qname in self._names:
-            return True
-        return any(n.endswith("." + qname) for n in self._names)
+        return qname in self._names or qname in self._below
+
+    def _under_wildcard(self, qname: str) -> bool:
+        """Whether a wildcard ``*.<ancestor>`` exists for some ancestor of
+        ``qname``: one probe per label, not a scan of the zone."""
+        parent = qname.partition(".")[2]
+        while parent:
+            if "*." + parent in self._names:
+                return True
+            parent = parent.partition(".")[2]
+        return False
 
     def lookup(
         self, qname: str, qtype: RRType, region: Optional[str] = None
@@ -243,9 +284,7 @@ class Zone:
             return LookupResult(LookupKind.CNAME, records=wildcard_cname)
 
         soa_rr = self._records[(self.origin, RRType.SOA)][0]
-        if self._name_exists(qname) or any(
-            n.startswith("*.") and qname.endswith(n[1:]) for n in self._names
-        ):
+        if self._name_exists(qname) or self._under_wildcard(qname):
             return LookupResult(LookupKind.NODATA, authority=[soa_rr])
         return LookupResult(LookupKind.NXDOMAIN, authority=[soa_rr])
 

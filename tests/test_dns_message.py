@@ -119,6 +119,33 @@ class TestAnswerRoundtrip:
         assert roundtrip(msg).answers[0].rdata.text == text
 
 
+class TestCanonicalNames:
+    def test_decoded_names_are_lowercased_once(self):
+        msg = DnsMessage.query("www.example.com", RRType.CNAME).response()
+        msg.answers = [
+            ResourceRecord("www.example.com", 60, CNAMERecord("cdn.example.net")),
+        ]
+        wire = msg.to_wire().replace(b"www", b"WwW").replace(b"cdn", b"CDN")
+        out = DnsMessage.from_wire(wire)
+        assert out.question.qname == "www.example.com"
+        assert out.answers == msg.answers
+
+    def test_decode_then_encode_is_byte_identical(self):
+        msg = DnsMessage.query("zone.example", RRType.SOA, msg_id=7).response()
+        msg.answers = [
+            ResourceRecord(
+                "zone.example", 300,
+                SOARecord("primary.zone.example", "admin.zone.example"),
+            ),
+            ResourceRecord("zone.example", 10, MXRecord(5, "mail.zone.example")),
+        ]
+        msg.additionals = [
+            ResourceRecord("mail.zone.example", 10, ARecord("10.0.0.2")),
+        ]
+        wire = msg.to_wire()
+        assert DnsMessage.from_wire(wire).to_wire() == wire
+
+
 class TestMalformedInput:
     def test_truncated_header(self):
         with pytest.raises(MessageFormatError):
@@ -128,6 +155,44 @@ class TestMalformedInput:
         wire = bytearray(DnsMessage.query("example.com", RRType.A).to_wire())
         with pytest.raises(MessageFormatError):
             DnsMessage.from_wire(bytes(wire[:14]))
+
+    @staticmethod
+    def _patched(wire: bytes, offset: int, value: int) -> bytes:
+        return wire[:offset] + value.to_bytes(2, "big") + wire[offset + 2:]
+
+    def test_unknown_opcode(self):
+        wire = DnsMessage.query("example.com", RRType.A).to_wire()
+        flags = int.from_bytes(wire[2:4], "big") | (2 << 11)  # STATUS
+        with pytest.raises(MessageFormatError, match="opcode"):
+            DnsMessage.from_wire(self._patched(wire, 2, flags))
+
+    def test_unknown_rcode(self):
+        wire = DnsMessage.query("example.com", RRType.A).response().to_wire()
+        flags = (int.from_bytes(wire[2:4], "big") & ~0xF) | 9  # NOTAUTH
+        with pytest.raises(MessageFormatError, match="rcode"):
+            DnsMessage.from_wire(self._patched(wire, 2, flags))
+
+    def test_unknown_rr_type(self):
+        query = DnsMessage.query("example.com", RRType.A).to_wire()
+        with pytest.raises(MessageFormatError, match="RR type"):
+            DnsMessage.from_wire(self._patched(query, len(query) - 4, 99))
+        msg = DnsMessage.query("example.com", RRType.A).response()
+        msg.answers = [ResourceRecord("example.com", 60, ARecord("10.0.0.1"))]
+        wire = msg.to_wire()
+        rr_type_at = len(wire) - 4 - 10  # A rdata, then the RR's fixed part
+        with pytest.raises(MessageFormatError, match="RR type"):
+            DnsMessage.from_wire(self._patched(wire, rr_type_at, 99))
+
+    def test_unknown_rr_class(self):
+        query = DnsMessage.query("example.com", RRType.A).to_wire()
+        with pytest.raises(MessageFormatError, match="RR class"):
+            DnsMessage.from_wire(self._patched(query, len(query) - 2, 3))  # CH
+        msg = DnsMessage.query("example.com", RRType.A).response()
+        msg.answers = [ResourceRecord("example.com", 60, ARecord("10.0.0.1"))]
+        wire = msg.to_wire()
+        rr_class_at = len(wire) - 4 - 8
+        with pytest.raises(MessageFormatError, match="RR class"):
+            DnsMessage.from_wire(self._patched(wire, rr_class_at, 3))
 
     def test_pointer_loop(self):
         # Header + a question whose name is a self-referencing pointer.
@@ -163,3 +228,14 @@ class TestPropertyRoundtrip:
             ResourceRecord(name, ttl, NSRecord(f"ns.{name}")) for name in names
         ]
         assert roundtrip(msg).answers == msg.answers
+
+    @given(names=st.lists(_names, min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def test_reencoding_a_decoded_message_is_byte_identical(self, names):
+        msg = DnsMessage.query(names[0], RRType.SOA).response()
+        msg.answers = [
+            ResourceRecord(name, 60, SOARecord(f"ns.{name}", names[-1]))
+            for name in names
+        ]
+        wire = msg.to_wire()
+        assert DnsMessage.from_wire(wire).to_wire() == wire

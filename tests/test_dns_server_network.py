@@ -1,6 +1,7 @@
 """Unit tests for the authoritative server and network fabric."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dnssim.errors import ServerUnavailableError
 from repro.dnssim.message import DnsMessage, RCode
@@ -14,6 +15,7 @@ from repro.dnssim.records import (
 )
 from repro.dnssim.server import AuthoritativeServer
 from repro.dnssim.zone import Zone
+from repro.names import is_subdomain_of, normalize
 
 
 @pytest.fixture
@@ -80,6 +82,111 @@ class TestServer:
         before = server.queries_handled
         server.handle(DnsMessage.query("example.com", RRType.A))
         assert server.queries_handled == before + 1
+
+
+def _zone(origin: str) -> Zone:
+    return Zone(origin, SOARecord(f"ns.{origin}".rstrip("."), "admin.example"))
+
+
+def _longest_enclosing_origin(origins: list[str], qname: str):
+    """Brute-force reference: scan every origin, keep the longest one
+    that encloses the name (the root zone encloses everything)."""
+    qname = normalize(qname)
+    enclosing = [o for o in origins if o == "" or is_subdomain_of(qname, o)]
+    return max(enclosing, key=len) if enclosing else None
+
+
+_label = st.sampled_from(["a", "b", "com", "net", "x-1"])
+_name = st.lists(_label, min_size=0, max_size=4).map(".".join)
+
+
+class _CountingZones(dict):
+    """Zones by origin that count keyed probes and forbid scanning."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+    def _scan(self, *args):
+        raise AssertionError("zone_for scanned every zone")
+
+    __iter__ = keys = values = items = _scan
+
+
+class TestZoneFor:
+    @given(
+        origins=st.lists(_name, unique=True, max_size=8),
+        qname=_name,
+        upper=st.booleans(),
+        trailing_dot=st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_matches_brute_force_longest_origin(
+        self, origins, qname, upper, trailing_dot
+    ):
+        srv = AuthoritativeServer("ns.example", ["10.0.0.1"])
+        for origin in origins:
+            srv.serve_zone(_zone(origin))
+        asked = (qname.upper() if upper else qname) + ("." if trailing_dot else "")
+        found = srv.zone_for(asked)
+        expected = _longest_enclosing_origin(origins, qname)
+        assert (found.origin if found is not None else None) == expected
+
+    def test_nested_origins_pick_the_deepest(self):
+        srv = AuthoritativeServer("ns.example", ["10.0.0.1"])
+        for origin in ("com", "example.com", "a.b.example.com"):
+            srv.serve_zone(_zone(origin))
+        assert srv.zone_for("x.a.b.example.com").origin == "a.b.example.com"
+        assert srv.zone_for("b.example.com").origin == "example.com"
+        assert srv.zone_for("other.com").origin == "com"
+        assert srv.zone_for("example.net") is None
+
+    def test_root_zone_is_the_fallback(self):
+        srv = AuthoritativeServer("ns.example", ["10.0.0.1"])
+        srv.serve_zone(_zone(""))
+        srv.serve_zone(_zone("example.com"))
+        assert srv.zone_for("www.example.com").origin == "example.com"
+        assert srv.zone_for("example.org").origin == ""
+        assert srv.zone_for(".").origin == ""
+
+    def test_mixed_case_and_trailing_dot(self, server):
+        assert server.zone_for("WWW.Example.COM.").origin == "example.com"
+
+    def test_no_enclosing_zone_is_refused(self, server):
+        assert server.zone_for("example.org") is None
+        assert server.zone_for("badexample.com") is None
+        response = server.handle(DnsMessage.query("badexample.com", RRType.A))
+        assert response.rcode == RCode.REFUSED
+
+    def test_probes_labels_plus_one_origins_among_10000_zones(self):
+        srv = AuthoritativeServer("ns.big-provider.net", ["10.0.0.1"])
+        for i in range(10_000):
+            srv.serve_zone(_zone(f"site{i}.com"))
+        counting = _CountingZones(srv._zones)
+        srv._zones = counting
+        for qname, origin in (
+            ("a.b.c.site7777.com", "site7777.com"),
+            ("site42.com", "site42.com"),
+            ("x.y.unserved.org", None),
+        ):
+            counting.probes = 0
+            found = srv.zone_for(qname)
+            assert (found.origin if found is not None else None) == origin
+            assert counting.probes <= qname.count(".") + 2  # labels + 1
+        counting.probes = 0
+        response = srv.handle(DnsMessage.query("www.site9999.com", RRType.A))
+        assert response.rcode == RCode.NXDOMAIN
+        assert counting.probes <= 3 + 1
 
 
 class TestNetwork:

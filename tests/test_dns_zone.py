@@ -1,6 +1,7 @@
 """Unit tests for authoritative zones."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dnssim.records import (
     ARecord,
@@ -131,3 +132,49 @@ class TestWildcards:
         zone.add("special.edge.example.com", TXTRecord("explicit"))
         result = zone.lookup("special.edge.example.com", RRType.A)
         assert result.kind == LookupKind.NODATA
+
+
+_label = st.sampled_from(["a", "b", "*", "c-1"])
+_owner = st.lists(_label, min_size=0, max_size=3).map(
+    lambda labels: ".".join(labels + ["example.com"])
+).filter(lambda name: "*" not in name[1:])
+
+
+def _exists_by_scan(zone: Zone, qname: str) -> bool:
+    """Reference: scan every owner name for qname itself, a name below it
+    (an empty non-terminal) or a wildcard above it."""
+    names = zone.names()
+    return (
+        qname in names
+        or any(n.endswith("." + qname) for n in names)
+        or any(n.startswith("*.") and qname.endswith(n[1:]) for n in names)
+    )
+
+
+class TestNameExistence:
+    @given(
+        added=st.lists(_owner, max_size=8),
+        # The origin keeps its SOA: every negative answer carries it.
+        deleted=st.lists(_owner.filter(lambda n: n != "example.com"), max_size=4),
+        qname=_owner,
+    )
+    @settings(max_examples=200)
+    def test_nodata_vs_nxdomain_matches_a_scan_of_the_zone(
+        self, added, deleted, qname
+    ):
+        zone = Zone("example.com", SOARecord("ns1.example.com", "a.example.com"))
+        for name in added:
+            zone.add(name, ARecord("10.0.0.1"))
+        for name in deleted:
+            zone.delete(name)
+        # No TXT data anywhere: the answer is NODATA or NXDOMAIN only.
+        kind = zone.lookup(qname, RRType.TXT).kind
+        expected = _exists_by_scan(zone, qname)
+        assert kind == (LookupKind.NODATA if expected else LookupKind.NXDOMAIN)
+
+    def test_empty_non_terminal_disappears_with_its_last_child(self):
+        zone = Zone("example.com", SOARecord("ns1.example.com", "a.example.com"))
+        zone.add("x.y.example.com", ARecord("10.0.0.1"))
+        assert zone.lookup("y.example.com", RRType.A).kind == LookupKind.NODATA
+        zone.delete("x.y.example.com")
+        assert zone.lookup("y.example.com", RRType.A).kind == LookupKind.NXDOMAIN

@@ -149,6 +149,7 @@ def _assert_snapshots_equivalent(got, want) -> None:
     assert got.interservice_edges == want.interservice_edges
     assert got.dns_display_names == want.dns_display_names
     assert got.concentration_threshold == want.concentration_threshold
+    assert got.nameserver_concentrations == want.nameserver_concentrations
     assert set(got.graph.providers()) == set(want.graph.providers())
     # Insertion order is not part of the graph contract — surgery re-adds
     # reclassified sites at the end of the node dict.
