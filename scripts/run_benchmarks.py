@@ -32,6 +32,11 @@ under version control:
   and the incremental campaign+analysis wall-clock must beat the full
   one by an absolute floor of 5x.
 
+One gate writes no artifact: serial ``run_campaign`` seconds per site
+at n=1000 and n=4000. ``--check`` fails when the larger world costs
+more than 1.3x as much per site, i.e. when measurement has gone
+superlinear in the world size.
+
 Modes::
 
     python scripts/run_benchmarks.py            # run + print (no writes)
@@ -49,6 +54,7 @@ a regression, a 1.3x wobble is weather.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -103,6 +109,15 @@ SERVE_MIN_BATCH_SPEEDUP = 3.0
 #: over epochs 1..N-1 measured in the same process, so machine speed
 #: cancels out.
 EPOCH_MIN_SPEEDUP = 5.0
+
+#: Per-site scaling ceiling: serial ``run_campaign`` cost per site in a
+#: world ``SCALING_LARGE_N / SCALING_SMALL_N`` times larger may grow by
+#: at most this factor. Measurement should be linear in the site count;
+#: the O(n) zone scan it once had cost ~2x as much per site at n=4000
+#: as at n=1000, which this gate refuses.
+SCALING_SMALL_N = 1000
+SCALING_LARGE_N = 4000
+SCALING_MAX_RATIO = 1.3
 
 BENCH_N = 5000
 BENCH_SEED = 42
@@ -166,6 +181,37 @@ def _churn_config(world) -> CascadeConfig:
         heal_to=1.0,
         ticks=96,
     )
+
+
+def run_scaling_bench() -> dict:
+    """Serial ``run_campaign`` seconds per site at two world sizes.
+
+    Each size is timed on a fresh world with the previous one released,
+    best of two runs, so neither side pays for the other's heap.
+    """
+    from repro.engine import run_campaign
+
+    per_site: dict[int, float] = {}
+    for n in (SCALING_SMALL_N, SCALING_LARGE_N):
+        best = float("inf")
+        for _ in range(2):
+            world = build_world(WorldConfig(n_websites=n, seed=BENCH_SEED))
+            gc.collect()
+            start = time.perf_counter()  # repro: noqa[REP001] -- benchmark harness measures wall-clock by design; timings are non-deterministic fields
+            dataset = run_campaign(world=world)
+            best = min(best, time.perf_counter() - start)  # repro: noqa[REP001] -- benchmark harness measures wall-clock by design; timings are non-deterministic fields
+            assert len(dataset.websites) == n
+            del world, dataset
+        per_site[n] = best / n
+    return {
+        "small_n": SCALING_SMALL_N,
+        "large_n": SCALING_LARGE_N,
+        "small_ms_per_site": round(per_site[SCALING_SMALL_N] * 1e3, 3),
+        "large_ms_per_site": round(per_site[SCALING_LARGE_N] * 1e3, 3),
+        "per_site_ratio": round(
+            per_site[SCALING_LARGE_N] / per_site[SCALING_SMALL_N], 3
+        ),
+    }
 
 
 def run_graph_bench() -> tuple:
@@ -695,6 +741,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # The timed campaigns run first, before the n=BENCH_N world and its
+    # ~1M GC-tracked objects exist: a large live heap makes the full
+    # side of the epoch ratio faster and the incremental side slower.
+    epoch_artifact = run_epoch_bench()
+    print(
+        f"[bench] epoch: {epoch_artifact['epochs']} epoch(s) at "
+        f"{epoch_artifact['churn']:.0%} churn, incremental "
+        f"{epoch_artifact['incremental_s']}s vs full "
+        f"{epoch_artifact['full_s']}s "
+        f"({epoch_artifact['speedup_x']}x, byte-identical)",
+        file=sys.stderr,
+    )
+
+    scaling = run_scaling_bench()
+    print(
+        f"[bench] scaling: run_campaign {scaling['small_ms_per_site']} "
+        f"ms/site at n={scaling['small_n']}, "
+        f"{scaling['large_ms_per_site']} ms/site at n={scaling['large_n']} "
+        f"({scaling['per_site_ratio']}x)",
+        file=sys.stderr,
+    )
+
     print(f"[bench] world n={BENCH_N} seed={BENCH_SEED}", file=sys.stderr)
     graph_artifact, world, snapshot = run_graph_bench()
     print(
@@ -737,16 +805,6 @@ def main(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
 
-    epoch_artifact = run_epoch_bench()
-    print(
-        f"[bench] epoch: {epoch_artifact['epochs']} epoch(s) at "
-        f"{epoch_artifact['churn']:.0%} churn, incremental "
-        f"{epoch_artifact['incremental_s']}s vs full "
-        f"{epoch_artifact['full_s']}s "
-        f"({epoch_artifact['speedup_x']}x, byte-identical)",
-        file=sys.stderr,
-    )
-
     if args.update:
         _write(GRAPH_ARTIFACT, graph_artifact)
         _write(CASCADE_ARTIFACT, cascade_artifact)
@@ -768,6 +826,12 @@ def main(argv: list[str] | None = None) -> int:
         problems += _check(QUERY_ARTIFACT, query_artifact)
         problems += _check(SERVE_ARTIFACT, serve_artifact)
         problems += _check(EPOCH_ARTIFACT, epoch_artifact)
+        if scaling["per_site_ratio"] > SCALING_MAX_RATIO:
+            problems.append(
+                f"scaling: run_campaign per-site cost grew "
+                f"{scaling['per_site_ratio']}x from n={scaling['small_n']} "
+                f"to n={scaling['large_n']} (ceiling {SCALING_MAX_RATIO}x)"
+            )
         for problem in problems:
             print(f"[bench] FAIL {problem}", file=sys.stderr)
         if problems:
@@ -777,7 +841,8 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(
         {"graph": graph_artifact, "cascade": cascade_artifact,
          "lint": lint_artifact, "query": query_artifact,
-         "serve": serve_artifact, "epoch": epoch_artifact},
+         "serve": serve_artifact, "epoch": epoch_artifact,
+         "scaling": scaling},
         indent=1, sort_keys=True,
     ))
     return 0

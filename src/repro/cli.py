@@ -1052,7 +1052,6 @@ def cmd_stats(args) -> int:
 
     if os.path.isdir(args.path):
         from repro.engine.checkpoint import CheckpointStore
-        from repro.measurement.io import shard_payload_from_json
 
         store = CheckpointStore(args.path)
         shard_ids = sorted(store.completed_shards())
@@ -1062,7 +1061,7 @@ def cmd_stats(args) -> int:
             return 1
         merged = MetricsRegistry()
         for shard_id in shard_ids:
-            _, metrics = shard_payload_from_json(store.load_shard(shard_id))
+            metrics = store.load_shard(shard_id).metrics
             if metrics is None:
                 print(
                     f"stats: shard {shard_id} was checkpointed without "

@@ -23,6 +23,7 @@ from repro.engine.executor import (
     MultiprocessExecutor,
     SerialExecutor,
     WorldSource,
+    execute_plan,
 )
 from repro.engine.epochs import (
     EpochResult,
@@ -32,6 +33,7 @@ from repro.engine.epochs import (
 from repro.engine.merge import merge_shards
 from repro.engine.plan import (
     CampaignPlan,
+    ShardPayload,
     ShardSpec,
     WorldFingerprint,
     partition_sites,
@@ -47,7 +49,7 @@ from repro.engine.progress import (
 from repro.faults.plan import FaultPlan
 from repro.measurement.records import Dataset
 from repro.measurement.runner import MeasurementCampaign
-from repro.telemetry.context import Telemetry, TelemetryConfig
+from repro.telemetry.context import Telemetry
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.world import World, build_world
 
@@ -62,11 +64,13 @@ __all__ = [
     "PhaseTimer",
     "ProgressReporter",
     "SerialExecutor",
+    "ShardPayload",
     "ShardSpec",
     "StaleCheckpointError",
     "TimelineWorldSource",
     "WorldFingerprint",
     "WorldSource",
+    "execute_plan",
     "merge_shards",
     "partition_sites",
     "plan_campaign",
@@ -117,13 +121,6 @@ def run_campaign(
     stats.start()
     stats.workers = workers
 
-    timer = PhaseTimer()
-
-    def finish_phase(name: str) -> None:
-        seconds = timer.elapsed()
-        stats.phase_seconds[name] = stats.phase_seconds.get(name, 0.0) + seconds
-        progress.on_phase(name, seconds, stats)
-
     # -- plan --------------------------------------------------------------
     if world is None:
         if world_source is not None:
@@ -134,7 +131,6 @@ def run_campaign(
             raise ValueError(
                 "run_campaign needs a config, a world, or a world_source"
             )
-    config = world.config
     plan = plan_campaign(
         world, n_shards=shards, limit=limit, region=region,
         fault_plan=fault_plan, epoch=epoch,
@@ -150,66 +146,17 @@ def run_campaign(
     elif checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
 
-    payloads: dict[int, str] = {}
-    if store is not None:
-        if store.has_manifest():
-            if not resume:
-                raise ValueError(
-                    f"checkpoint directory {store.directory} already holds "
-                    f"a campaign; pass resume=True (--resume) to continue "
-                    f"it, or point at a fresh directory"
-                )
-            store.validate_manifest(plan)
-            completed = store.completed_shards()
-            for shard in plan.shards:
-                if shard.shard_id in completed:
-                    payloads[shard.shard_id] = store.load_shard(shard.shard_id)
-        else:
-            store.write_manifest(plan)
-
-    pending = [s for s in plan.shards if s.shard_id not in payloads]
-    stats.shards_total = len(plan.shards)
-    stats.shards_skipped = len(plan.shards) - len(pending)
-    stats.sites_total = plan.n_sites
-    finish_phase("plan")
-    progress.on_plan(stats)
-
-    # -- measure -----------------------------------------------------------
-    timer.restart()
-    if pending:
-        executor: Union[SerialExecutor, MultiprocessExecutor]
-        if workers <= 1:
-            # Shares `campaign` with the merge pass — see SerialExecutor.
-            executor = SerialExecutor(campaign)
-        else:
-            # Workers get a metrics-only facade rebuilt from a picklable
-            # config (tracing stays in-process: site traces need the
-            # serial path so one world observes the whole campaign).
-            worker_telemetry = (
-                TelemetryConfig(metrics=True)
-                if telemetry is not None and telemetry.metrics is not None
-                else None
-            )
-            executor = MultiprocessExecutor(
-                world_source if world_source is not None else config,
-                workers,
-                region=region,
-                fault_plan=fault_plan,
-                telemetry_config=worker_telemetry,
-            )
-        sites_by_id = {s.shard_id: s.n_sites for s in plan.shards}
-        for shard_id, payload in executor.run(pending):
-            if store is not None:
-                store.write_shard(shard_id, payload)
-            payloads[shard_id] = payload
-            stats.shards_done += 1
-            stats.sites_done += sites_by_id[shard_id]
-            progress.on_shard_done(shard_id, sites_by_id[shard_id], stats)
-    finish_phase("measure")
+    # -- measure (resuming from and checkpointing to the store) -----------
+    # Serial runs measure through `campaign`, shared with the merge pass
+    # (see SerialExecutor); pool workers rebuild the world from a recipe.
+    payloads = execute_plan(
+        plan, campaign,
+        world_source if world_source is not None else world.config,
+        workers, store, resume, progress, stats,
+    )
 
     # -- merge + inter-service pass ---------------------------------------
-    timer.restart()
     dataset = merge_shards(campaign, plan, payloads)
-    finish_phase("merge")
+    stats.end_phase("merge", progress)
     progress.on_finish(stats)
     return dataset

@@ -11,6 +11,8 @@ completes. Resuming validates the manifest against the current plan —
 same world fingerprint, same shard partition — and skips shards whose
 artifacts exist; anything else raises :class:`StaleCheckpointError`
 rather than silently merging measurements of a different world.
+It is also the only place shard records meet JSON: a campaign
+without a checkpoint directory never serializes a shard.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import os
 from pathlib import Path
 from typing import Union
 
-from repro.engine.plan import CampaignPlan, WorldFingerprint
+from repro.engine.plan import CampaignPlan, ShardPayload, WorldFingerprint
+from repro.measurement.io import shard_payload_from_json, shard_to_json
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT_VERSION = 1
@@ -49,6 +52,27 @@ class CheckpointStore:
 
     def has_manifest(self) -> bool:
         return self.manifest_path.exists()
+
+    def open(self, plan: CampaignPlan, resume: bool) -> dict[int, ShardPayload]:
+        """Bind this directory to ``plan``: write a fresh one's manifest,
+        or (only with ``resume``) validate a started one's and return
+        the shards it holds."""
+        if not self.has_manifest():
+            self.write_manifest(plan)
+            return {}
+        if not resume:
+            raise ValueError(
+                f"checkpoint directory {self.directory} already holds "
+                f"a campaign; pass resume=True (--resume) to continue "
+                f"it, or point at a fresh directory"
+            )
+        self.validate_manifest(plan)
+        completed = self.completed_shards()
+        return {
+            shard.shard_id: self.load_shard(shard.shard_id)
+            for shard in plan.shards
+            if shard.shard_id in completed
+        }
 
     def write_manifest(self, plan: CampaignPlan) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -121,11 +145,17 @@ class CheckpointStore:
                 continue
         return done
 
-    def write_shard(self, shard_id: int, payload: str) -> None:
-        self._atomic_write(self.shard_path(shard_id), payload)
+    def write_shard(self, shard_id: int, payload: ShardPayload) -> None:
+        self._atomic_write(
+            self.shard_path(shard_id),
+            shard_to_json(payload.websites, payload.metrics),
+        )
 
-    def load_shard(self, shard_id: int) -> str:
-        return self.shard_path(shard_id).read_text(encoding="utf-8")
+    def load_shard(self, shard_id: int) -> ShardPayload:
+        websites, metrics = shard_payload_from_json(
+            self.shard_path(shard_id).read_text(encoding="utf-8")
+        )
+        return ShardPayload(websites, metrics)
 
     # -- internals ---------------------------------------------------------
 

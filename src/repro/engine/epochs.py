@@ -33,13 +33,12 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.engine.checkpoint import CheckpointStore
-from repro.engine.executor import MultiprocessExecutor, SerialExecutor
+from repro.engine.executor import execute_plan
 from repro.engine.plan import (
     CampaignPlan,
     WorldFingerprint,
     partition_sites,
 )
-from repro.measurement.io import shard_payload_from_json
 from repro.measurement.records import Dataset, WebsiteMeasurement
 from repro.measurement.runner import MeasurementCampaign
 from repro.worldgen.timeline import EpochChange, Timeline, TimelineConfig
@@ -72,53 +71,6 @@ class EpochResult:
     changes: EpochChange
     sites_measured: int
     sites_total: int
-
-
-def _epoch_store(
-    checkpoint_dir: Optional[Union[str, Path]], epoch: int
-) -> Optional[CheckpointStore]:
-    if checkpoint_dir is None:
-        return None
-    return CheckpointStore(Path(checkpoint_dir) / f"epoch-{epoch:04d}")
-
-
-def _measure_plan(
-    campaign: MeasurementCampaign,
-    plan: CampaignPlan,
-    source: TimelineWorldSource,
-    workers: int,
-    store: Optional[CheckpointStore],
-    resume: bool,
-) -> dict[int, str]:
-    """Execute a plan's shards with checkpoint/resume, as run_campaign does."""
-    payloads: dict[int, str] = {}
-    if store is not None:
-        if store.has_manifest():
-            if not resume:
-                raise ValueError(
-                    f"checkpoint directory {store.directory} already holds "
-                    f"an epoch campaign; pass resume=True to continue it, "
-                    f"or point at a fresh directory"
-                )
-            store.validate_manifest(plan)
-            completed = store.completed_shards()
-            for shard in plan.shards:
-                if shard.shard_id in completed:
-                    payloads[shard.shard_id] = store.load_shard(shard.shard_id)
-        else:
-            store.write_manifest(plan)
-    pending = [s for s in plan.shards if s.shard_id not in payloads]
-    if pending:
-        executor: Union[SerialExecutor, MultiprocessExecutor]
-        if workers <= 1:
-            executor = SerialExecutor(campaign)
-        else:
-            executor = MultiprocessExecutor(source, workers)
-        for shard_id, payload in executor.run(pending):
-            if store is not None:
-                store.write_shard(shard_id, payload)
-            payloads[shard_id] = payload
-    return payloads
 
 
 def run_timeline(
@@ -158,7 +110,10 @@ def run_timeline(
         campaign = MeasurementCampaign(world, limit=limit)
         target = campaign.ranked_sites()
         source = TimelineWorldSource(config, epoch)
-        store = _epoch_store(checkpoint_dir, epoch)
+        store = (
+            None if checkpoint_dir is None
+            else CheckpointStore(Path(checkpoint_dir) / f"epoch-{epoch:04d}")
+        )
 
         if epoch == 0 or full:
             to_measure = list(target)
@@ -176,22 +131,16 @@ def run_timeline(
             ),
             shards=tuple(partition_sites(to_measure, shards)),
         )
-        if to_measure:
-            payloads = _measure_plan(
-                campaign, plan, source, workers, store, resume
-            )
-        else:
-            payloads = {}
-
-        measured: dict[str, WebsiteMeasurement] = {}
-        for shard in plan.shards:
-            if shard.shard_id not in payloads:
-                continue
-            websites, _metrics = shard_payload_from_json(
-                payloads[shard.shard_id]
-            )
-            for record in websites:
-                measured[record.domain] = record
+        payloads = (
+            execute_plan(plan, campaign, source, workers, store, resume)
+            if to_measure
+            else {}
+        )
+        measured = {
+            record.domain: record
+            for payload in payloads.values()
+            for record in payload.websites
+        }
 
         spliced: list[WebsiteMeasurement] = []
         for domain, _rank in target:

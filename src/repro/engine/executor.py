@@ -1,15 +1,15 @@
-"""Shard executors: the backends that run a campaign plan.
+"""Shard executors, and the one loop that drives them over a plan.
 
-Both backends yield ``(shard_id, shard_json)`` pairs as shards finish,
-so the orchestrator can checkpoint each one immediately. Shard payloads
-travel as JSON strings — the exact bytes a checkpoint stores — so a
-fresh run, a resumed run, and a multiprocess run all merge identical
-inputs.
+Both backends yield ``(shard_id, payload)`` pairs as shards finish, so
+:func:`execute_plan` can checkpoint each one immediately. Payloads are
+in-memory :class:`~repro.engine.plan.ShardPayload` records on every
+path — pool workers pickle them back, resumed shards are decoded by the
+checkpoint store — and become JSON only when that store writes them.
 
 The multiprocessing backend materializes the world *inside each worker
 process* from the campaign's world config (worlds are deterministic
 functions of their config), so nothing heavier than a
-:class:`~repro.engine.plan.ShardSpec` ever crosses a process boundary.
+:class:`~repro.engine.plan.ShardSpec` ever crosses into a worker.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from __future__ import annotations
 import multiprocessing
 from typing import Iterable, Iterator, Optional, Protocol, Union
 
-from repro.engine.plan import ShardSpec
+from repro.engine.checkpoint import CheckpointStore
+from repro.engine.plan import CampaignPlan, ShardPayload, ShardSpec
+from repro.engine.progress import CampaignStats, NullProgress, ProgressReporter
 from repro.faults.plan import FaultPlan
-from repro.measurement.io import shard_to_json
 from repro.measurement.runner import MeasurementCampaign
 from repro.telemetry.context import TelemetryConfig
 from repro.worldgen.config import WorldConfig
@@ -38,12 +39,6 @@ class WorldSource(Protocol):
     def build(self) -> World: ...
 
 
-def _build_worker_world(source: Union[WorldConfig, WorldSource]) -> World:
-    if isinstance(source, WorldConfig):
-        return build_world(source)
-    return source.build()
-
-
 # Per-worker-process campaign, created once by the pool initializer.
 _WORKER_CAMPAIGN: Optional[MeasurementCampaign] = None
 
@@ -55,7 +50,10 @@ def _init_worker(
     telemetry_config: Optional[TelemetryConfig] = None,
 ) -> None:
     global _WORKER_CAMPAIGN
-    world = _build_worker_world(config)
+    world = (
+        build_world(config) if isinstance(config, WorldConfig)
+        else config.build()
+    )
     telemetry = (
         telemetry_config.build() if telemetry_config is not None else None
     )
@@ -64,8 +62,10 @@ def _init_worker(
     )
 
 
-def measure_shard(campaign: MeasurementCampaign, shard: ShardSpec) -> str:
-    """Measure one shard's sites; returns the checkpointable payload.
+def measure_shard(
+    campaign: MeasurementCampaign, shard: ShardSpec
+) -> ShardPayload:
+    """Measure one shard's sites into a payload.
 
     When the campaign carries telemetry, the shard payload also carries
     the registry state drained *after exactly this shard's sites* — the
@@ -77,10 +77,10 @@ def measure_shard(campaign: MeasurementCampaign, shard: ShardSpec) -> str:
     ]
     tel = campaign.telemetry
     metrics = tel.drain_metrics() if tel is not None else None
-    return shard_to_json(websites, metrics)
+    return ShardPayload(websites, metrics)
 
 
-def _measure_shard_in_worker(shard: ShardSpec) -> tuple[int, str]:
+def _measure_shard_in_worker(shard: ShardSpec) -> tuple[int, ShardPayload]:
     assert _WORKER_CAMPAIGN is not None, "worker pool not initialized"
     return shard.shard_id, measure_shard(_WORKER_CAMPAIGN, shard)
 
@@ -93,13 +93,16 @@ class SerialExecutor:
     it does in :meth:`MeasurementCampaign.run`, which is what makes the
     serial engine byte-identical to a direct run (re-querying a name
     after the measure phase can hit the resolver's negative cache and
-    answer differently than its first touch).
+    answer differently than its first touch). Payloads are the measured
+    records themselves; nothing is encoded on the way to the merger.
     """
 
     def __init__(self, campaign: MeasurementCampaign) -> None:
         self._campaign = campaign
 
-    def run(self, shards: Iterable[ShardSpec]) -> Iterator[tuple[int, str]]:
+    def run(
+        self, shards: Iterable[ShardSpec]
+    ) -> Iterator[tuple[int, ShardPayload]]:
         for shard in shards:
             yield shard.shard_id, measure_shard(self._campaign, shard)
 
@@ -118,25 +121,19 @@ class MultiprocessExecutor:
     ) -> None:
         if workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
-        self._config = config
         self._workers = workers
-        self._region = region
-        self._fault_plan = fault_plan
-        self._telemetry_config = telemetry_config
+        self._initargs = (config, region, fault_plan, telemetry_config)
 
-    def run(self, shards: Iterable[ShardSpec]) -> Iterator[tuple[int, str]]:
+    def run(
+        self, shards: Iterable[ShardSpec]
+    ) -> Iterator[tuple[int, ShardPayload]]:
         shards = list(shards)
         if not shards:
             return
         pool = multiprocessing.Pool(
             processes=min(self._workers, len(shards)),
             initializer=_init_worker,
-            initargs=(
-                self._config,
-                self._region,
-                self._fault_plan,
-                self._telemetry_config,
-            ),
+            initargs=self._initargs,
         )
         try:
             # Unordered: the merger reassembles by shard id, so slow
@@ -147,3 +144,53 @@ class MultiprocessExecutor:
             pool.join()
         finally:
             pool.terminate()
+
+
+def execute_plan(
+    plan: CampaignPlan,
+    campaign: MeasurementCampaign,
+    source: Union[WorldConfig, WorldSource],
+    workers: int = 1,
+    store: Optional[CheckpointStore] = None,
+    resume: bool = False,
+    progress: Optional[ProgressReporter] = None,
+    stats: Optional[CampaignStats] = None,
+) -> dict[int, ShardPayload]:
+    """Measure ``plan``'s shards; return every shard's payload by id.
+
+    A ``store`` supplies the shards it already holds (see
+    :meth:`CheckpointStore.open`) and receives each new one as it
+    finishes. One worker measures through ``campaign`` itself; more
+    rebuild the world from ``source`` in a pool, with a metrics-only
+    telemetry facade (tracing needs one world to observe every site).
+    Closes the ``plan`` and ``measure`` phases on ``stats``.
+    """
+    progress = progress if progress is not None else NullProgress()
+    stats = stats if stats is not None else CampaignStats()
+    payloads = store.open(plan, resume) if store is not None else {}
+    pending = [s for s in plan.shards if s.shard_id not in payloads]
+    stats.shards_total = len(plan.shards)
+    stats.shards_skipped = len(payloads)
+    stats.sites_total = plan.n_sites
+    stats.end_phase("plan", progress)
+    progress.on_plan(stats)
+
+    executor: Union[SerialExecutor, MultiprocessExecutor]
+    if workers <= 1:
+        executor = SerialExecutor(campaign)
+    else:
+        tel = campaign.telemetry
+        metrics = tel is not None and tel.metrics is not None
+        executor = MultiprocessExecutor(
+            source, workers, campaign.region, campaign.fault_plan,
+            TelemetryConfig(metrics=True) if metrics else None,
+        )
+    for shard_id, payload in executor.run(pending):
+        if store is not None:
+            store.write_shard(shard_id, payload)
+        payloads[shard_id] = payload
+        stats.shards_done += 1
+        stats.sites_done += len(payload)
+        progress.on_shard_done(shard_id, len(payload), stats)
+    stats.end_phase("measure", progress)
+    return payloads

@@ -1,5 +1,7 @@
 """Shard merger: recombine shard payloads into one dataset.
 
+Payloads are :class:`~repro.engine.plan.ShardPayload` records on every
+path (fresh, pooled or resumed), so merging parses nothing.
 Shards are concatenated in shard-id order (= global rank order, because
 the planner slices contiguously), then the campaign's inter-service
 pass runs once over the merged observed-provider sets. Because that
@@ -19,8 +21,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.engine.plan import CampaignPlan
-from repro.measurement.io import shard_payload_from_json
+from repro.engine.plan import CampaignPlan, ShardPayload
 from repro.measurement.records import Dataset
 from repro.measurement.runner import MeasurementCampaign
 from repro.telemetry.metrics import MetricsRegistry
@@ -29,9 +30,9 @@ from repro.telemetry.metrics import MetricsRegistry
 def merge_shards(
     campaign: MeasurementCampaign,
     plan: CampaignPlan,
-    payloads: Mapping[int, str],
+    payloads: Mapping[int, ShardPayload],
 ) -> Dataset:
-    """Merge shard JSON payloads and run the inter-service pass.
+    """Merge shard payloads and run the inter-service pass.
 
     When the campaign carries a metrics registry, every shard payload
     must carry drained metrics; a shard without them (checkpointed by a
@@ -47,22 +48,22 @@ def merge_shards(
     merged = MetricsRegistry()
     dataset = Dataset(year=campaign.world.year)
     for shard in plan.shards:
-        websites, metrics = shard_payload_from_json(payloads[shard.shard_id])
-        if len(websites) != shard.n_sites:
+        payload = payloads[shard.shard_id]
+        if len(payload) != shard.n_sites:
             raise ValueError(
-                f"shard {shard.shard_id} payload has {len(websites)} "
+                f"shard {shard.shard_id} payload has {len(payload)} "
                 f"websites but the plan expects {shard.n_sites}"
             )
         if collect:
-            if metrics is None:
+            if payload.metrics is None:
                 raise ValueError(
                     f"cannot merge metrics: shard {shard.shard_id} was "
                     f"checkpointed without telemetry; rerun without "
                     f"metrics collection or from a fresh checkpoint "
                     f"directory"
                 )
-            merged.merge_dict(metrics)
-        dataset.websites.extend(websites)
+            merged.merge_dict(payload.metrics)
+        dataset.websites.extend(payload.websites)
     campaign.run_interservice(dataset)
     if collect:
         assert tel is not None

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.faults.plan import FaultPlan
+from repro.measurement.records import WebsiteMeasurement
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.world import World
 
@@ -111,6 +112,20 @@ class ShardSpec:
         """Content hash of the site list (manifest integrity check)."""
         body = "\n".join(f"{domain}#{rank}" for domain, rank in self.sites)
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class ShardPayload:
+    """One measured shard, as every executor, the resume path and the
+    merger hand it around: website records in rank order plus the
+    telemetry registry drained right after them (``None`` without
+    metrics). It becomes JSON only in a checkpoint store."""
+
+    websites: list[WebsiteMeasurement]
+    metrics: Optional[dict[str, Any]] = None
+
+    def __len__(self) -> int:
+        return len(self.websites)
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,19 @@ class CampaignStats:
     workers: int = 1
     phase_seconds: dict[str, float] = field(default_factory=dict)
     _timer: Optional[PhaseTimer] = None
+    _phase: PhaseTimer = field(default_factory=PhaseTimer)
 
     def start(self) -> None:
         self._timer = PhaseTimer()
+        self._phase.restart()
+
+    def end_phase(self, name: str, progress: "ProgressReporter") -> None:
+        """Close the phase running since :meth:`start` (or the previous
+        ``end_phase``), add its seconds under ``name`` and report it."""
+        seconds = self._phase.elapsed()
+        self._phase.restart()
+        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
+        progress.on_phase(name, seconds, self)
 
     @property
     def elapsed(self) -> float:

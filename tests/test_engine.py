@@ -484,6 +484,178 @@ class TestMetricsDeterminism:
         assert "metrics" not in payload
 
 
+def _snapshot_state(snapshot) -> tuple:
+    """Everything a snapshot answers with, in comparable form."""
+    graph = snapshot.graph
+    providers = graph.providers()
+    return (
+        snapshot.year,
+        snapshot.websites,
+        snapshot.interservice_edges,
+        snapshot.nameserver_concentrations,
+        snapshot.dns_display_names,
+        providers,
+        snapshot.provider_metrics(),
+        [
+            graph.dependent_websites(provider, critical_only)
+            for provider in providers
+            for critical_only in (False, True)
+        ],
+    )
+
+
+class TestAnalysisIdentity:
+    """One level past the dataset bytes. Shards measured in this process
+    or pickled back from a worker keep their records' insertion-ordered
+    dicts, while shards decoded from a checkpoint have sorted keys; the
+    analysis and the compiled store must not see the difference."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self, engine_config, tmp_path_factory) -> dict:
+        killed = tmp_path_factory.mktemp("killed")
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                engine_config, shards=6, checkpoint_dir=str(killed),
+                progress=_AbortAfter(2),
+            )
+        return {
+            "serial": run_campaign(engine_config),
+            "checkpointed": run_campaign(
+                engine_config, shards=6,
+                checkpoint_dir=str(tmp_path_factory.mktemp("ckpt")),
+            ),
+            "resumed": run_campaign(
+                engine_config, shards=6, checkpoint_dir=str(killed),
+                resume=True,
+            ),
+            "workers": run_campaign(engine_config, shards=6, workers=WORKERS),
+        }
+
+    @pytest.fixture(scope="class")
+    def analyzed(self, engine_config, datasets) -> dict:
+        import hashlib
+
+        from repro.core.pipeline import analyze_dataset, dns_display_directory
+        from repro.store.compile import compile_snapshot
+
+        display = dns_display_directory(build_world(engine_config))
+        out = {}
+        for name, dataset in datasets.items():
+            text = dataset_to_json(dataset)
+            snapshot = analyze_dataset(
+                dataset, rank_scale=engine_config.rank_scale,
+                dns_display_names=display,
+            )
+            source = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            out[name] = (
+                text,
+                _snapshot_state(snapshot),
+                compile_snapshot(snapshot, source, ENGINE_N),
+            )
+        return out
+
+    @pytest.mark.parametrize("name", ["checkpointed", "resumed", "workers"])
+    def test_same_dataset_snapshot_and_store(self, analyzed, serial_json, name):
+        text, state, blob = analyzed[name]
+        want_text, want_state, want_blob = analyzed["serial"]
+        assert want_text == serial_json
+        assert text == want_text
+        assert state == want_state
+        assert blob == want_blob
+
+
+@pytest.fixture
+def shard_codec_calls(monkeypatch) -> dict:
+    """Count shard JSON encodes and decodes: the io functions are
+    replaced by counters in every ``repro`` module that holds them."""
+    import sys
+
+    import repro.measurement.io as mio
+
+    calls = {"shard_to_json": 0, "shard_payload_from_json": 0}
+    for name in calls:
+        original = getattr(mio, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+#: sha256 over the shard files (in shard order) of a 3-shard, 60-site
+#: checkpoint of the engine world, without and with campaign metrics:
+#: resumable checkpoints depend on these bytes staying put.
+_SHARD_FILES_SHA256 = {
+    False: "191e33fdb0e49d0b435520d789673c682f0e39f72994d9a266ab73b30ec863b5",
+    True: "50b12c7a6961093b8f4066bc4287f382fa70a866b7ec14e64a399cac31d1cf70",
+}
+
+
+class TestShardJsonOnlyAtCheckpoint:
+    """Shard records stay in memory from executor to merger; JSON is
+    written and read only by a checkpoint store."""
+
+    def test_serial_campaign_without_checkpoint_encodes_nothing(
+        self, engine_config, serial_json, shard_codec_calls
+    ):
+        dataset = run_campaign(engine_config, shards=4)
+        assert shard_codec_calls == {
+            "shard_to_json": 0, "shard_payload_from_json": 0,
+        }
+        assert dataset_to_json(dataset) == serial_json
+
+    def test_incremental_epoch_encodes_nothing(self, shard_codec_calls):
+        from repro.engine import run_timeline
+        from repro.worldgen.timeline import TimelineConfig
+
+        config = TimelineConfig(
+            n_websites=120, seed=ENGINE_SEED, epochs=2, churn_rate=0.10
+        )
+        (result,) = run_timeline(config, shards=2, epochs=[1])
+        assert 0 < result.sites_measured < result.sites_total
+        assert shard_codec_calls == {
+            "shard_to_json": 0, "shard_payload_from_json": 0,
+        }
+
+    @pytest.mark.parametrize("metrics", [False, True])
+    @pytest.mark.parametrize("workers", [1, WORKERS])
+    def test_checkpoint_writes_and_reads_the_same_shard_bytes(
+        self, engine_config, tmp_path, shard_codec_calls, workers, metrics
+    ):
+        import hashlib
+
+        def run(**kwargs):
+            return run_campaign(
+                engine_config, shards=3, workers=workers, limit=60,
+                checkpoint_dir=str(tmp_path / "ckpt"),
+                telemetry=_metrics_telemetry() if metrics else None,
+                **kwargs,
+            )
+
+        first = run()
+        # Pool workers encode nothing: the parent's store writes each shard.
+        assert shard_codec_calls == {
+            "shard_to_json": 3, "shard_payload_from_json": 0,
+        }
+        digest = hashlib.sha256()
+        for path in sorted((tmp_path / "ckpt").glob("shard-*.json")):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == _SHARD_FILES_SHA256[metrics]
+
+        again = run(resume=True)
+        assert shard_codec_calls == {
+            "shard_to_json": 3, "shard_payload_from_json": 3,
+        }
+        assert dataset_to_json(again) == dataset_to_json(first)
+
+
 _WALLCLOCK_KEY_FRAGMENTS = (
     "wall", "elapsed", "monotonic", "perf_counter", "timestamp",
     "created_at", "started_at", "finished_at", "duration_s",
